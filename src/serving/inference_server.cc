@@ -38,7 +38,7 @@ InferenceServer::InferenceServer(const graph::CscGraph* graph,
   faults.fault_rate = options_.fault_rate;
   faults.fault_seed = options_.fault_seed;
   faults.corruption_rate = options_.corruption_rate;
-  faults.offline_device = options_.offline_device;
+  faults.offline_devices = options_.offline_devices;
   if (faults.enabled()) {
     array_->EnableFaultInjection(faults, storage::RetryPolicy{});
   }
@@ -134,8 +134,9 @@ TimeNs InferenceServer::ExecuteBatch(const FormedBatch& batch, TimeNs now,
     for (size_t i = 0; i < k; ++i) sample_one(i);
   }
 
-  // Phase 2 — gather: one GatherGroup scope per batch (coalescing spans
-  // the member requests) or one per request (the per-request baseline).
+  // Phase 2 — gather: one GatherGroup scope per batch. With
+  // coalesce_across_requests the scope collapses repeats across member
+  // requests; without it the call equals one gather per request.
   // Counting mode: the timing model only needs the traffic counts.
   slice_scratch_.clear();
   for (size_t i = 0; i < k; ++i) {
@@ -147,17 +148,9 @@ TimeNs InferenceServer::ExecuteBatch(const FormedBatch& batch, TimeNs now,
   const uint64_t retry_before = array_->retry_penalty_ns_total();
   const uint64_t crc_before = array_->crc_verify_ns_total();
   const uint64_t degraded_before = array_->degraded_penalty_ns_total();
-  if (options_.coalesce_across_requests) {
-    GIDS_CHECK_OK(gatherer_->GatherGroup(
-        slice_scratch_, std::span<storage::FeatureGatherCounts>(
-                            counts_scratch_.data(), k)));
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      GIDS_CHECK_OK(gatherer_->GatherGroup(
-          std::span<const storage::GatherSlice>(&slice_scratch_[i], 1),
-          std::span<storage::FeatureGatherCounts>(&counts_scratch_[i], 1)));
-    }
-  }
+  GIDS_CHECK_OK(gatherer_->GatherGroup(
+      slice_scratch_,
+      std::span<storage::FeatureGatherCounts>(counts_scratch_.data(), k)));
   const TimeNs retry_penalty_ns = static_cast<TimeNs>(
       array_->retry_penalty_ns_total() - retry_before);
   const TimeNs crc_penalty_ns =

@@ -49,9 +49,9 @@ struct ServingOptions {
   uint32_t executor_lanes = 2;
   /// Page coalescing spans the requests of a batch (one GatherGroup
   /// scope per batch: popular pages fetched once per window, not once
-  /// per user). Off gathers per request with coalescing disabled — the
-  /// pre-serving per-request path, kept for the equivalence tests and
-  /// the bench baseline.
+  /// per user). Off keeps the one scope per batch with coalescing
+  /// disabled, which equals gathering each request on its own — the
+  /// per-request baseline of the equivalence tests and the bench.
   bool coalesce_across_requests = true;
   /// Feature vector width of the synthetic feature store.
   uint32_t feature_dim = 128;
@@ -72,7 +72,7 @@ struct ServingOptions {
   uint64_t fault_seed = 0xfa017;
   double corruption_rate = 0.0;
   bool verify_reads = false;
-  int offline_device = -1;
+  std::vector<int> offline_devices;
   /// Root seed (cache eviction stream; sampling streams key off request
   /// ids, so they are independent of this).
   uint64_t seed = 0x5e44e;

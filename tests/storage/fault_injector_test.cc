@@ -90,7 +90,7 @@ TEST(FaultInjectorTest, DecisionsAreDeterministicPerSeed) {
 
 TEST(FaultInjectorTest, OfflineDeviceAlwaysFails) {
   FaultOptions fo;
-  fo.offline_device = 1;
+  fo.offline_devices = {1};
   RetryPolicy rp;
   FaultInjector inj(fo, rp);
   for (uint32_t attempt = 0; attempt < 8; ++attempt) {
@@ -173,7 +173,7 @@ TEST(FaultRetryTest, OfflineDeviceDegradesExactlyItsPages) {
   RetryPolicy rp;
   rp.max_retries = 1;
   FaultOptions fo;
-  fo.offline_device = 1;
+  fo.offline_devices = {1};
   FaultRig rig(fo, rp, /*n_ssd=*/2);
   std::vector<graph::NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   FeatureGatherCounts counts;

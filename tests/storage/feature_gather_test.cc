@@ -6,9 +6,14 @@
 #include <numeric>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "graph/feature_store.h"
 #include "storage/bam_array.h"
+#include "storage/fault_injector.h"
+#include "storage/page_integrity.h"
+#include "storage/replica_set.h"
 #include "storage/software_cache.h"
+#include "storage/storage_array.h"
 
 namespace gids::storage {
 namespace {
@@ -16,18 +21,22 @@ namespace {
 struct GatherRig {
   explicit GatherRig(uint32_t dim, graph::NodeId nodes = 100,
                      uint64_t cache_bytes = 16 * 4096,
-                     const HotNodeBuffer* hot = nullptr)
+                     const HotNodeBuffer* hot = nullptr,
+                     ThreadPool* pool = nullptr, int n_ssd = 1,
+                     uint32_t cache_shards = 0)
       : fs(nodes, dim) {
     auto dev = std::make_unique<FunctionBlockDevice>(
         fs.num_pages(), fs.page_bytes(),
         [this](uint64_t lba, std::span<std::byte> out) {
           fs.FillPage(lba, out);
         });
-    array = std::make_unique<StorageArray>(std::move(dev),
-                                           sim::SsdSpec::IntelOptane(), 1);
-    cache = std::make_unique<SoftwareCache>(cache_bytes, fs.page_bytes());
+    array = std::make_unique<StorageArray>(
+        std::move(dev), sim::SsdSpec::IntelOptane(), n_ssd);
+    cache = std::make_unique<SoftwareCache>(
+        cache_bytes, fs.page_bytes(), /*seed=*/0xcac4e,
+        /*store_payloads=*/true, cache_shards);
     bam = std::make_unique<BamArray>(array.get(), cache.get());
-    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(), hot);
+    gatherer = std::make_unique<FeatureGatherer>(&fs, bam.get(), hot, pool);
   }
 
   graph::FeatureStore fs;
@@ -262,33 +271,101 @@ TEST(CoalescingGatherTest, CountsOnlyMatchesFullGather) {
 
 TEST(GatherGroupTest, MatchesPerSliceGathersWhenCoalescingOff) {
   // With coalescing off, one grouped call over two slices is bit-identical
-  // (bytes and per-slice counts) to two sequential Gather calls.
-  GatherRig grouped(1024, 100, 8 * 4096);
-  GatherRig sequential(1024, 100, 8 * 4096);
-  std::vector<graph::NodeId> first = {3, 7, 3, 50};
-  std::vector<graph::NodeId> second = {7, 12, 3};
-  const uint32_t dim = 1024;
+  // to two sequential Gather calls: output bytes, per-slice counts, and
+  // the array's retry, CRC and degraded penalty totals. Two inputs: a
+  // clean serial rig, and a hostile one (fault injection, verify-on-read,
+  // 2-way replication with device 1 offline, a 2-thread pool over a
+  // 4-shard cache) whose slices degrade and corrupt rows.
+  ThreadPool pool(2);
+  struct Input {
+    const char* name;
+    uint32_t dim;
+    graph::NodeId num_nodes;
+    bool hostile;
+    std::vector<graph::NodeId> first;
+    std::vector<graph::NodeId> second;
+  };
+  std::vector<graph::NodeId> hostile_first;
+  std::vector<graph::NodeId> hostile_second;
+  Rng rng(23);
+  for (int i = 0; i < 150; ++i) {
+    hostile_first.push_back(static_cast<graph::NodeId>(rng.UniformInt(300)));
+    hostile_second.push_back(static_cast<graph::NodeId>(rng.UniformInt(300)));
+  }
+  const std::vector<Input> inputs = {
+      {"clean", 1024, 100, false, {3, 7, 3, 50}, {7, 12, 3}},
+      {"hostile", 768, 300, true, hostile_first, hostile_second}};
 
-  std::vector<float> out_a(first.size() * dim);
-  std::vector<float> out_b(second.size() * dim);
-  std::vector<GatherSlice> slices = {{first, std::span<float>(out_a)},
-                                     {second, std::span<float>(out_b)}};
-  std::vector<FeatureGatherCounts> per_slice(2);
-  ASSERT_TRUE(grouped.gatherer->GatherGroup(slices, per_slice).ok());
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    auto make_rig = [&] {
+      if (!in.hostile) {
+        return std::make_unique<GatherRig>(in.dim, in.num_nodes, 8 * 4096);
+      }
+      auto rig = std::make_unique<GatherRig>(in.dim, in.num_nodes, 32 * 4096,
+                                             nullptr, &pool, /*n_ssd=*/2,
+                                             /*cache_shards=*/4);
+      FaultOptions faults;
+      faults.fault_rate = 0.3;
+      faults.corruption_rate = 0.2;
+      faults.offline_devices = {1};
+      RetryPolicy retry;
+      retry.max_retries = 1;
+      rig->array->EnableFaultInjection(faults, retry);
+      IntegrityOptions integrity;
+      integrity.verify_reads = true;
+      rig->array->EnableIntegrity(integrity);
+      ReplicaOptions replicas;
+      replicas.replication_factor = 2;
+      rig->array->EnableReplication(replicas);
+      return rig;
+    };
+    auto grouped = make_rig();
+    auto sequential = make_rig();
 
-  FeatureGatherCounts ca, cb;
-  auto ref_a = sequential.gatherer->Gather(first, &ca);
-  auto ref_b = sequential.gatherer->Gather(second, &cb);
-  ASSERT_TRUE(ref_a.ok());
-  ASSERT_TRUE(ref_b.ok());
-  EXPECT_EQ(out_a, *ref_a);
-  EXPECT_EQ(out_b, *ref_b);
-  EXPECT_EQ(per_slice[0].storage_reads, ca.storage_reads);
-  EXPECT_EQ(per_slice[0].gpu_cache_hits, ca.gpu_cache_hits);
-  EXPECT_EQ(per_slice[1].storage_reads, cb.storage_reads);
-  EXPECT_EQ(per_slice[1].gpu_cache_hits, cb.gpu_cache_hits);
-  EXPECT_EQ(per_slice[0].nodes, first.size());
-  EXPECT_EQ(per_slice[1].nodes, second.size());
+    std::vector<float> out_a(in.first.size() * in.dim);
+    std::vector<float> out_b(in.second.size() * in.dim);
+    std::vector<GatherSlice> slices = {
+        {in.first, std::span<float>(out_a)},
+        {in.second, std::span<float>(out_b)}};
+    std::vector<FeatureGatherCounts> per_slice(2);
+    ASSERT_TRUE(grouped->gatherer->GatherGroup(slices, per_slice).ok());
+
+    std::vector<FeatureGatherCounts> ref(2);
+    auto ref_a = sequential->gatherer->Gather(in.first, &ref[0]);
+    auto ref_b = sequential->gatherer->Gather(in.second, &ref[1]);
+    ASSERT_TRUE(ref_a.ok());
+    ASSERT_TRUE(ref_b.ok());
+    EXPECT_EQ(out_a, *ref_a);
+    EXPECT_EQ(out_b, *ref_b);
+    for (size_t s = 0; s < 2; ++s) {
+      SCOPED_TRACE(s);
+      EXPECT_EQ(per_slice[s].nodes, ref[s].nodes);
+      EXPECT_EQ(per_slice[s].cpu_buffer_hits, ref[s].cpu_buffer_hits);
+      EXPECT_EQ(per_slice[s].gpu_cache_hits, ref[s].gpu_cache_hits);
+      EXPECT_EQ(per_slice[s].storage_reads, ref[s].storage_reads);
+      EXPECT_EQ(per_slice[s].coalesced_requests, ref[s].coalesced_requests);
+      EXPECT_EQ(per_slice[s].distinct_pages, ref[s].distinct_pages);
+      EXPECT_EQ(per_slice[s].degraded_nodes, ref[s].degraded_nodes);
+      EXPECT_EQ(per_slice[s].corrupt_nodes, ref[s].corrupt_nodes);
+    }
+    EXPECT_EQ(per_slice[0].nodes, in.first.size());
+    EXPECT_EQ(per_slice[1].nodes, in.second.size());
+    EXPECT_EQ(grouped->array->retry_penalty_ns_total(),
+              sequential->array->retry_penalty_ns_total());
+    EXPECT_EQ(grouped->array->crc_verify_ns_total(),
+              sequential->array->crc_verify_ns_total());
+    EXPECT_EQ(grouped->array->degraded_penalty_ns_total(),
+              sequential->array->degraded_penalty_ns_total());
+    if (in.hostile) {
+      // The hostile input must actually reach the fault paths.
+      EXPECT_GT(per_slice[0].degraded_nodes + per_slice[1].degraded_nodes,
+                0u);
+      EXPECT_GT(per_slice[0].corrupt_nodes + per_slice[1].corrupt_nodes, 0u);
+      EXPECT_GT(grouped->array->crc_verify_ns_total(), 0u);
+      EXPECT_GT(grouped->array->degraded_penalty_ns_total(), 0u);
+    }
+  }
 }
 
 TEST(GatherGroupTest, CoalescesAcrossSlices) {

@@ -275,11 +275,14 @@ int CmdRun(const Flags& flags) {
     opts.latency_spike_ns =
         UsToNs(flags.GetDouble("latency-spike-us", 500.0));
     opts.stuck_queue_rate = flags.GetDouble("stuck-queue-rate", 0.0);
-    opts.offline_device =
-        static_cast<int>(flags.GetInt("offline-device", -1));
     if (flags.Has("offline-devices")) {
       opts.offline_devices = ParseFanout(flags.Get("offline-devices", ""));
     }
+    // --offline-device D is another spelling that adds D to the set
+    // (-1, the default, adds nothing).
+    const int offline_device =
+        static_cast<int>(flags.GetInt("offline-device", -1));
+    if (offline_device >= 0) opts.offline_devices.push_back(offline_device);
     opts.offline_at_ns = UsToNs(flags.GetDouble("offline-at-us", 0.0));
     opts.io_max_retries =
         static_cast<uint32_t>(flags.GetInt("io-max-retries", 4));
