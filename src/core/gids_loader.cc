@@ -43,60 +43,23 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   storage_ = std::make_unique<storage::StorageArray>(
       std::move(device), cfg.ssd, cfg.n_ssd, options_.io_queues,
       options_.io_queue_depth);
-  storage::FaultOptions faults;
-  faults.fault_rate = options_.fault_rate;
-  faults.fault_seed = options_.fault_seed;
-  faults.latency_spike_rate = options_.latency_spike_rate;
-  faults.latency_spike_ns = options_.latency_spike_ns;
-  faults.stuck_queue_rate = options_.stuck_queue_rate;
-  faults.offline_devices = options_.offline_devices;
-  faults.offline_at_ns = options_.offline_at_ns;
-  faults.corruption_rate = options_.corruption_rate;
-  if (faults.enabled()) {
-    for (int d : options_.offline_devices) {
-      GIDS_CHECK(d >= 0 && d < cfg.n_ssd);
-    }
-    storage::RetryPolicy retry;
-    retry.max_retries = options_.io_max_retries;
-    retry.backoff_initial_ns = options_.io_backoff_ns;
-    retry.backoff_cap_ns = options_.io_backoff_cap_ns;
-    retry.timeout_ns = options_.io_timeout_ns;
-    storage_->EnableFaultInjection(faults, retry);
-  }
-  storage::IntegrityOptions integrity;
-  integrity.verify_reads = options_.verify_reads;
-  integrity.verify_cache_fill = options_.verify_cache_fill;
-  integrity.verify_cache_hit = options_.verify_cache_hit;
-  integrity.crc_seed = options_.crc_seed;
-  integrity.crc_verify_ns = options_.crc_verify_ns;
-  storage_->EnableIntegrity(integrity);
+  // The storage knobs are GidsOptions' bases and members, handed over
+  // as-is; each Enable* validates the struct it consumes. Without an
+  // injector no attempt fails, so the retry policy is never consulted.
+  storage_->EnableFaultInjection(options_, options_.retry);
+  storage_->EnableIntegrity(options_);
 
   // Durability & replication (FAULTS.md "Durability & failover"). Order
   // matters: replication before the journal (fan-out follows the replica
   // set), both before metric binding (the journal/replica series exist
   // only when enabled, keeping defaults-off metric output identical).
-  GIDS_CHECK(options_.replication_factor >= 1 &&
-             options_.replication_factor <= cfg.n_ssd);
-  if (options_.replication_factor > 1) {
-    storage::ReplicaOptions repl;
-    repl.replication_factor = options_.replication_factor;
-    repl.write_quorum = options_.write_quorum;
-    GIDS_CHECK(repl.write_quorum >= 0 &&
-               repl.write_quorum <= repl.replication_factor);
-    storage_->EnableReplication(repl);
-  }
+  storage_->EnableReplication(options_);
   MutationStreamOptions mut;
   mut.updates_per_iter = options_.updates_per_iter;
   mut.edge_ops_per_iter = options_.edge_ops_per_iter;
   mut.seed = options_.mutation_seed;
-  if (mut.enabled() || options_.replication_factor > 1) {
-    storage::JournalOptions jopt;
-    GIDS_CHECK(
-        storage::ParseDurabilityLevel(options_.durability, &jopt.durability));
-    jopt.append_ns = options_.journal_append_ns;
-    jopt.fsync_ns = options_.journal_fsync_ns;
-    jopt.apply_ns = options_.journal_apply_ns;
-    storage_->EnableJournal(jopt);
+  if (mut.enabled() || options_.ReplicaOptions::enabled()) {
+    storage_->EnableJournal(options_.journal);
   }
   if (mut.enabled()) {
     mutations_ = std::make_unique<MutationStream>(&fs, mut);
@@ -121,11 +84,11 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
       cache_bytes, fs.page_bytes(), options_.seed ^ 0xcac4e,
       /*store_payloads=*/!options_.counting_mode, options_.cache_shards,
       policy_);
-  if (integrity.verify_cache_fill || integrity.verify_cache_hit ||
+  if (options_.verify_cache_fill || options_.verify_cache_hit ||
       options_.scrub_pages_per_iter > 0) {
     cache_->EnableIntegrity(&storage_->checksummer(),
-                            integrity.verify_cache_fill,
-                            integrity.verify_cache_hit);
+                            options_.verify_cache_fill,
+                            options_.verify_cache_hit);
   }
   bam_ = std::make_unique<storage::BamArray>(storage_.get(), cache_.get());
 

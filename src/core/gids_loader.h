@@ -26,7 +26,11 @@
 #include "sampling/seed_iterator.h"
 #include "sim/system_model.h"
 #include "storage/bam_array.h"
+#include "storage/fault_injector.h"
 #include "storage/feature_gather.h"
+#include "storage/journal.h"
+#include "storage/page_integrity.h"
+#include "storage/replica_set.h"
 #include "storage/software_cache.h"
 #include "storage/storage_array.h"
 
@@ -36,7 +40,14 @@ namespace gids::core {
 /// yields the plain BaM dataloader baseline (GPU-initiated storage access,
 /// random-eviction software cache, per-iteration kernels) that the paper
 /// compares against.
-struct GidsOptions {
+///
+/// The storage layer's option structs are bases, so `o.fault_rate`,
+/// `o.verify_reads` and `o.replication_factor` set the very field the
+/// StorageArray reads. All three bases define enabled(); a call through
+/// GidsOptions must name its base (`o.ReplicaOptions::enabled()`).
+struct GidsOptions : storage::FaultOptions,
+                     storage::IntegrityOptions,
+                     storage::ReplicaOptions {
   bool use_accumulator = true;
   double accumulator_target = 0.95;        // fraction of peak SSD IOPs
   uint32_t max_merged_iterations = 16;     // batch-buffer memory bound
@@ -130,74 +141,22 @@ struct GidsOptions {
   /// one process should agree on it.
   bool workspace_pool = true;
 
-  /// --- Storage fault injection & resilience (FAULTS.md). All defaults
-  /// keep the fault layer disabled: the storage read path is then
-  /// byte-for-byte the pre-fault fast path.
-  /// Per-attempt transient command-error probability on storage reads.
-  double fault_rate = 0.0;
-  /// Seed of the deterministic fault stream (decisions are pure functions
-  /// of (fault_seed, page, attempt); same seed => same faults, at any
-  /// host_threads value).
-  uint64_t fault_seed = 0xfa017;
-  /// Per-attempt latency-spike probability and magnitude; a spike that
-  /// pushes an attempt past io_timeout_ns becomes a timeout.
-  double latency_spike_rate = 0.0;
-  TimeNs latency_spike_ns = 500 * kNsPerUs;
-  /// Per-attempt probability that the submission queue stalls (the command
-  /// is abandoned at io_timeout_ns and retried).
-  double stuck_queue_rate = 0.0;
-  /// Striped SSD indices to take offline (empty = none); their pages
-  /// always exhaust retries and degrade (or fail over, with replication).
-  std::vector<int> offline_devices;
-  /// Virtual-time onset of the outage: the offline set is healthy before
-  /// this loader-clock instant and dark from it onward. 0 = offline from
-  /// the start.
-  TimeNs offline_at_ns = 0;
-  /// Retry policy: attempts = io_max_retries + 1; exponential backoff
-  /// starting at io_backoff_ns (doubling, capped at io_backoff_cap_ns);
-  /// per-attempt command timeout io_timeout_ns. All in virtual time.
-  uint32_t io_max_retries = 4;
-  TimeNs io_timeout_ns = 1 * kNsPerMs;
-  TimeNs io_backoff_ns = 20 * kNsPerUs;
-  TimeNs io_backoff_cap_ns = 2 * kNsPerMs;
-
-  /// --- End-to-end data integrity (INTEGRITY.md). All defaults keep the
-  /// integrity layer disabled; the read path and benchmark output are
-  /// then bit-identical to the pre-integrity build.
-  /// Per-attempt probability that a successful storage read serves
-  /// silently corrupted bytes (no error status). Deterministic in
-  /// (fault_seed, page, attempt), like the loud fault modes.
-  double corruption_rate = 0.0;
-  /// Seed of the page-tagged CRC-32C checksum space.
-  uint64_t crc_seed = 0xc3c32c;
-  /// Verify every storage read against the page's write-time checksum;
-  /// mismatches re-read under the retry budget (repair) and dead-letter
-  /// as unrepairable corruption when the budget runs out.
-  bool verify_reads = false;
-  /// Verify page payloads as they are inserted into the software cache
-  /// (corrupt fills are rejected).
-  bool verify_cache_fill = false;
-  /// Re-verify resident cache lines on every hit; mismatched lines are
-  /// quarantined and re-read from storage.
-  bool verify_cache_hit = false;
+  /// --- Storage read path (FAULTS.md, INTEGRITY.md). The fault, integrity
+  /// and replication knobs are the bases. All defaults keep the storage
+  /// layers disabled: the read path is then the fault-free fast path.
+  /// Retry policy of every storage read: attempts = retry.max_retries + 1;
+  /// exponential backoff from retry.backoff_initial_ns (doubling, capped
+  /// at retry.backoff_cap_ns); per-attempt command timeout
+  /// retry.timeout_ns. All in virtual time.
+  storage::RetryPolicy retry;
   /// Background scrubber budget: resident cache lines (plus pinned CPU
   /// buffer rows) verified per merged iteration, walked in virtual time
   /// between iterations. 0 disables the scrubber.
   uint32_t scrub_pages_per_iter = 0;
-  /// Modeled virtual-time cost of one checksum verification.
-  TimeNs crc_verify_ns = 1 * kNsPerUs;
 
-  /// --- Durability & replication (FAULTS.md "Durability & failover").
-  /// All defaults keep the subsystem disabled: no replica routing, no
-  /// journals, no mutation stream, and RESULT_JSON bit-identical to the
-  /// pre-replication build.
-  /// Copies of every page across the striped devices (replica r of page p
-  /// lives on device (p + r) % n_ssd). 1 = single-copy (off); > 1 turns
-  /// on replica-aware read routing and write fan-out.
-  int replication_factor = 1;
-  /// Journal fan-outs that must fsync before a record is quorum-durable.
-  /// 0 = majority (factor / 2 + 1).
-  int write_quorum = 0;
+  /// --- Journaled writes (FAULTS.md "Durability & failover"). All
+  /// defaults keep the write path disabled: no journals, no mutation
+  /// stream, and RESULT_JSON bit-identical to the pre-replication build.
   /// Journaled feature-row overwrites submitted per training iteration.
   /// > 0 enables the journaled write path (mutation stream + applier).
   uint32_t updates_per_iter = 0;
@@ -206,16 +165,14 @@ struct GidsOptions {
   uint32_t edge_ops_per_iter = 0;
   /// Seed the mutation stream is a pure function of.
   uint64_t mutation_seed = 0x6d7574a73ull;
-  /// Durability level mutations are acknowledged at:
-  /// none | journaled | synced | quorum.
-  std::string durability = "quorum";
+  /// Acknowledgement level (journal.durability: none | journaled | synced
+  /// | quorum) and modeled virtual-time costs (journal.append_ns,
+  /// journal.fsync_ns, journal.apply_ns) of the journals, which exist when
+  /// the mutation stream or replication is on.
+  storage::JournalOptions journal;
   /// Records the background applier checkpoints into striped pages per
   /// merged iteration (0 = apply every ready record each step).
   uint64_t journal_apply_budget = 0;
-  /// Modeled virtual-time costs of the journaled write path.
-  TimeNs journal_append_ns = 500;
-  TimeNs journal_fsync_ns = 10 * kNsPerUs;
-  TimeNs journal_apply_ns = 2 * kNsPerUs;
   /// Deterministic crash point: before preparing merged-iteration group
   /// `crash_at_group` (0-based), the loader crashes the journals
   /// (truncating unsynced tails at crash_seed-chosen cuts), recovers,

@@ -26,6 +26,12 @@ StorageArray::StorageArray(std::unique_ptr<BlockDevice> device,
 }
 
 void StorageArray::EnableReplication(const ReplicaOptions& options) {
+  GIDS_CHECK(options.replication_factor >= 1 &&
+             options.replication_factor <= n_ssd_);
+  if (options.enabled()) {
+    GIDS_CHECK(options.write_quorum >= 0 &&
+               options.write_quorum <= options.replication_factor);
+  }
   replicas_ = options.enabled()
                   ? std::make_unique<ReplicaSet>(n_ssd_, options)
                   : nullptr;
@@ -132,6 +138,9 @@ void StorageArray::ApplyRecordToPages(const MutationRecord& rec,
 
 void StorageArray::EnableFaultInjection(const FaultOptions& faults,
                                         const RetryPolicy& retry) {
+  for (int d : faults.offline_devices) {
+    GIDS_CHECK(d >= 0 && d < n_ssd_);
+  }
   retry_ = retry;
   injector_ = faults.enabled()
                   ? std::make_unique<FaultInjector>(faults, retry)

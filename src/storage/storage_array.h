@@ -83,7 +83,9 @@ class StorageArray {
   const sim::SsdSpec& spec() const { return spec_; }
 
   /// Installs a deterministic fault injector + retry policy on the read
-  /// path. Call before issuing reads (not thread-safe against them).
+  /// path (no injector when `faults` is disabled). Offline device ids must
+  /// lie in [0, n_ssd). Call before issuing reads (not thread-safe against
+  /// them).
   void EnableFaultInjection(const FaultOptions& faults,
                             const RetryPolicy& retry);
   /// The installed injector, or nullptr when the array is fault-free.
@@ -102,7 +104,9 @@ class StorageArray {
   /// Installs the N-way replica set (FAULTS.md "Durability & failover"):
   /// replica r of page p lives on device (p + r) mod n_ssd, and the read
   /// path routes each attempt to the first healthy, fresh replica instead
-  /// of pinning the page to its primary. Call before issuing reads.
+  /// of pinning the page to its primary. replication_factor must lie in
+  /// [1, n_ssd] (1 installs nothing) and, with replication on,
+  /// write_quorum in [0, replication_factor]. Call before issuing reads.
   void EnableReplication(const ReplicaOptions& options);
   const ReplicaSet* replica_set() const { return replicas_.get(); }
 

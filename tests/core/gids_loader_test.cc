@@ -193,5 +193,77 @@ TEST(GidsLoaderTest, AccumulatorRespectsMaxMergedIterations) {
   }
 }
 
+// Every storage knob set through GidsOptions reaches the struct the
+// storage array consumes, with nothing copied or dropped on the way.
+TEST(GidsLoaderTest, StorageOptionsReachTheStorageArray) {
+  LoaderRig rig(0.01, 1.0 / 4096.0, sim::SsdSpec::IntelOptane(), /*n_ssd=*/4);
+  GidsOptions o = CountingOptions();
+  o.fault_rate = 0.01;
+  o.fault_seed = 0x1234;
+  o.latency_spike_rate = 0.02;
+  o.latency_spike_ns = 300 * kNsPerUs;
+  o.stuck_queue_rate = 0.03;
+  o.offline_devices = {2};
+  o.offline_at_ns = 5 * kNsPerMs;
+  o.corruption_rate = 0.04;
+  o.verify_reads = true;
+  o.verify_cache_fill = true;
+  o.verify_cache_hit = true;
+  o.crc_seed = 0xabc;
+  o.crc_verify_ns = 3 * kNsPerUs;
+  o.replication_factor = 3;
+  o.write_quorum = 2;
+  o.retry.max_retries = 7;
+  o.retry.timeout_ns = 3 * kNsPerMs;
+  o.retry.backoff_initial_ns = 40 * kNsPerUs;
+  o.retry.backoff_cap_ns = 5 * kNsPerMs;
+  o.journal.durability = storage::DurabilityLevel::kSynced;
+  o.journal.append_ns = 700;
+  o.journal.fsync_ns = 15 * kNsPerUs;
+  o.journal.apply_ns = 3 * kNsPerUs;
+  GidsLoader loader(rig.dataset.get(), rig.sampler.get(), rig.seeds.get(),
+                    rig.system.get(), o);
+  const storage::StorageArray& array = loader.storage_array();
+
+  ASSERT_NE(array.fault_injector(), nullptr);
+  const storage::FaultOptions& f = array.fault_injector()->options();
+  EXPECT_EQ(f.fault_rate, 0.01);
+  EXPECT_EQ(f.fault_seed, 0x1234u);
+  EXPECT_EQ(f.latency_spike_rate, 0.02);
+  EXPECT_EQ(f.latency_spike_ns, 300 * kNsPerUs);
+  EXPECT_EQ(f.stuck_queue_rate, 0.03);
+  EXPECT_EQ(f.offline_devices, std::vector<int>{2});
+  EXPECT_EQ(f.offline_at_ns, 5 * kNsPerMs);
+  EXPECT_EQ(f.corruption_rate, 0.04);
+
+  for (const storage::RetryPolicy& r :
+       {array.retry_policy(), array.fault_injector()->retry()}) {
+    EXPECT_EQ(r.max_retries, 7u);
+    EXPECT_EQ(r.timeout_ns, 3 * kNsPerMs);
+    EXPECT_EQ(r.backoff_initial_ns, 40 * kNsPerUs);
+    EXPECT_EQ(r.backoff_cap_ns, 5 * kNsPerMs);
+  }
+
+  const storage::IntegrityOptions& i = array.integrity();
+  EXPECT_TRUE(i.verify_reads);
+  EXPECT_TRUE(i.verify_cache_fill);
+  EXPECT_TRUE(i.verify_cache_hit);
+  EXPECT_EQ(i.crc_seed, 0xabcu);
+  EXPECT_EQ(array.checksummer().seed(), 0xabcu);
+  EXPECT_EQ(i.crc_verify_ns, 3 * kNsPerUs);
+
+  ASSERT_NE(array.replica_set(), nullptr);
+  EXPECT_EQ(array.replica_set()->options().replication_factor, 3);
+  EXPECT_EQ(array.replica_set()->options().write_quorum, 2);
+
+  // Replication alone brings the journals up, even with no write stream.
+  ASSERT_NE(array.journal(), nullptr);
+  const storage::JournalOptions& j = array.journal()->options();
+  EXPECT_EQ(j.durability, storage::DurabilityLevel::kSynced);
+  EXPECT_EQ(j.append_ns, 700);
+  EXPECT_EQ(j.fsync_ns, 15 * kNsPerUs);
+  EXPECT_EQ(j.apply_ns, 3 * kNsPerUs);
+}
+
 }  // namespace
 }  // namespace gids::core

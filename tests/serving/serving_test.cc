@@ -46,6 +46,21 @@ TEST(RequestQueueDeathTest, ZeroDepthRejected) {
   EXPECT_DEATH(RequestQueue(0), "max_depth > 0");
 }
 
+// The storage array range-checks offline device ids itself, so a server
+// (which has no loader in front of it) cannot silently ignore one.
+TEST(InferenceServerDeathTest, OfflineDeviceOutOfRangeRejected) {
+  Rng rng(7);
+  auto g = graph::GenerateUniform(64, 256, rng);
+  ASSERT_TRUE(g.ok());
+  sampling::NeighborSampler sampler(&*g, sampling::NeighborSamplerOptions{{4}},
+                                    /*seed=*/11);
+  ServingOptions opts;
+  opts.n_ssd = 1;
+  opts.offline_devices = {3};
+  EXPECT_DEATH({ InferenceServer server(&*g, &sampler, opts); },
+               "d < n_ssd_");
+}
+
 // --- BatchFormer -----------------------------------------------------------
 
 Request Req(uint64_t id, TimeNs arrival) {

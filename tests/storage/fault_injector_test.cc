@@ -279,7 +279,7 @@ TEST(FaultRetryTest, LoaderCompletesEpochUnderFaults) {
     core::GidsOptions opts;
     opts.counting_mode = true;
     opts.fault_rate = 0.01;
-    opts.io_max_retries = 2;
+    opts.retry.max_retries = 2;
     opts.metrics = with_metrics ? &registry : nullptr;
     core::GidsLoader loader(rig.dataset.get(), rig.sampler.get(),
                             rig.seeds.get(), rig.system.get(), opts);

@@ -42,7 +42,7 @@ IntegrityTotals RunEpoch(uint32_t host_threads, double corruption_rate,
   opts.verify_cache_fill = true;
   opts.verify_cache_hit = true;
   opts.scrub_pages_per_iter = scrub_pages;
-  opts.io_max_retries = 3;
+  opts.retry.max_retries = 3;
   core::GidsLoader loader(rig.dataset.get(), rig.sampler.get(),
                           rig.seeds.get(), rig.system.get(), opts);
   IntegrityTotals t;
@@ -90,7 +90,7 @@ TEST(IntegrityDeterminismTest, FullyRepairedRunMatchesCorruptionFree) {
     opts.counting_mode = true;
     opts.corruption_rate = rate;
     opts.verify_reads = true;
-    opts.io_max_retries = 12;  // deep enough that nothing dead-letters
+    opts.retry.max_retries = 12;  // deep enough that nothing dead-letters
     core::GidsLoader loader(rig.dataset.get(), rig.sampler.get(),
                             rig.seeds.get(), rig.system.get(), opts);
     std::vector<std::tuple<uint64_t, uint64_t, uint64_t, uint64_t>> trace;

@@ -319,7 +319,7 @@ TEST(IntegrityTest, LoaderScrubsAndRepairsUnderCorruption) {
   opts.verify_cache_fill = true;
   opts.verify_cache_hit = true;
   opts.scrub_pages_per_iter = 16;
-  opts.io_max_retries = 4;
+  opts.retry.max_retries = 4;
   opts.metrics = &registry;
   core::GidsLoader loader(rig.dataset.get(), rig.sampler.get(),
                           rig.seeds.get(), rig.system.get(), opts);

@@ -4,13 +4,14 @@
 #   1. Every relative markdown link in tracked *.md files must resolve to
 #      a file or directory in the repository (http(s)/mailto/anchor-only
 #      links are skipped; "#section" fragments are stripped first).
-#   2. Every GidsOptions field (src/core/gids_loader.h), every
-#      FaultOptions field (src/storage/fault_injector.h), every
-#      IntegrityOptions field (src/storage/page_integrity.h), every
-#      ServingOptions field (src/serving/inference_server.h), and every
-#      gids_cli flag (tools/gids_cli.cc) must be mentioned in README.md,
-#      FAULTS.md, INTEGRITY.md or CACHING.md, so new knobs cannot land
-#      undocumented.
+#   2. Every field of the option structs below (GidsOptions and the
+#      storage structs it embeds: FaultOptions, RetryPolicy,
+#      IntegrityOptions, ReplicaOptions, JournalOptions; plus
+#      ServingOptions) and every gids_cli flag (tools/gids_cli.cc) must be
+#      mentioned in README.md, FAULTS.md, INTEGRITY.md or CACHING.md, so
+#      new knobs cannot land undocumented. A listed struct that yields no
+#      fields (renamed, moved, or a header the parser cannot read) fails
+#      the lint.
 #   3. Every cache-policy name in the parse table
 #      (src/storage/cache_policy.cc) must appear in the corpus, and the
 #      CachePolicyKind enum (src/storage/cache_policy.h) must have
@@ -48,19 +49,28 @@ done < <(git ls-files '*.md')
 doc_corpus=$(cat README.md FAULTS.md INTEGRITY.md CACHING.md)
 
 # Option-struct fields: lines like "  <type> name = default;" inside the
-# struct. Take the identifier immediately left of '='.
+# struct. Take the identifier immediately left of '='. The struct header
+# may carry a base clause ("struct Name : Base, ..." over several lines).
 struct_fields() {  # struct_fields <StructName> <header>
-  awk "/^struct $1 \\{/,/^\\};/" "$2" |
+  awk "/^struct $1( |\$)[^;]*\$/,/^\\};/" "$2" |
     grep -E '^  [A-Za-z_].*=.*;' |
     sed -E 's/ *=.*$//; s/.*[ *&]//'
 }
 fields=""
 for spec in "GidsOptions src/core/gids_loader.h" \
             "FaultOptions src/storage/fault_injector.h" \
+            "RetryPolicy src/storage/fault_injector.h" \
             "IntegrityOptions src/storage/page_integrity.h" \
+            "ReplicaOptions src/storage/replica_set.h" \
+            "JournalOptions src/storage/journal.h" \
             "ServingOptions src/serving/inference_server.h"; do
   set -- $spec
-  for field in $(struct_fields "$1" "$2"); do
+  struct_field_list=$(struct_fields "$1" "$2" || true)
+  if [ -z "$struct_field_list" ]; then
+    echo "docs-lint: no fields parsed from struct $1 in $2"
+    fail=1
+  fi
+  for field in $struct_field_list; do
     fields="$fields $field"
     if ! grep -qw -- "$field" <<<"$doc_corpus"; then
       echo "docs-lint: $1::$field not documented in README.md, FAULTS.md or INTEGRITY.md"

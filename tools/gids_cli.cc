@@ -47,6 +47,7 @@
 #include "sim/pipeline_des.h"
 #include "sim/system_model.h"
 #include "storage/cache_policy.h"
+#include "storage/journal.h"
 
 namespace {
 
@@ -284,10 +285,11 @@ int CmdRun(const Flags& flags) {
         static_cast<int>(flags.GetInt("offline-device", -1));
     if (offline_device >= 0) opts.offline_devices.push_back(offline_device);
     opts.offline_at_ns = UsToNs(flags.GetDouble("offline-at-us", 0.0));
-    opts.io_max_retries =
+    opts.retry.max_retries =
         static_cast<uint32_t>(flags.GetInt("io-max-retries", 4));
-    opts.io_timeout_ns = UsToNs(flags.GetDouble("io-timeout-us", 1000.0));
-    opts.io_backoff_ns = UsToNs(flags.GetDouble("io-backoff-us", 20.0));
+    opts.retry.timeout_ns = UsToNs(flags.GetDouble("io-timeout-us", 1000.0));
+    opts.retry.backoff_initial_ns =
+        UsToNs(flags.GetDouble("io-backoff-us", 20.0));
     // End-to-end data integrity (INTEGRITY.md).
     opts.corruption_rate = flags.GetDouble("corruption-rate", 0.0);
     opts.crc_seed =
@@ -307,7 +309,14 @@ int CmdRun(const Flags& flags) {
         static_cast<uint32_t>(flags.GetInt("edge-ops-per-iter", 0));
     opts.mutation_seed = static_cast<uint64_t>(
         flags.GetInt("mutation-seed", 0x6d7574a73ll));
-    opts.durability = flags.Get("durability", "quorum");
+    const std::string durability = flags.Get("durability", "quorum");
+    if (!storage::ParseDurabilityLevel(durability, &opts.journal.durability)) {
+      std::fprintf(stderr,
+                   "unknown --durability '%s' (none, journaled, synced, "
+                   "quorum)\n",
+                   durability.c_str());
+      return 2;
+    }
     opts.journal_apply_budget =
         static_cast<uint64_t>(flags.GetInt("journal-apply-budget", 0));
     opts.crash_at_group =
