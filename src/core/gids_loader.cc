@@ -28,10 +28,6 @@ GidsLoader::GidsLoader(const graph::Dataset* dataset,
   GIDS_CHECK(options_.window_depth >= 0);
   GIDS_CHECK(options_.max_merged_iterations >= 1);
 
-  // The workspace pool is process-wide; the flag is the escape hatch that
-  // turns every acquire into plain malloc/free (bit-identical results).
-  WorkspacePool::Default().set_enabled(options_.workspace_pool);
-
   const graph::FeatureStore& fs = dataset_->features;
   const sim::SystemConfig& cfg = system_->config();
 
@@ -535,23 +531,14 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
           nodes, std::span<float>(group_batches[i].features)};
     }
   }
-  // The group's fault/retry virtual-time penalty, snapshotted from the
-  // storage array's ledger around the gather (zero without injection).
-  // The crc/degraded sub-ledgers partition it for the cost ledger:
-  // penalty = crc_verify + degraded + backoff/spike rest.
-  const uint64_t penalty_before = storage_->retry_penalty_ns_total();
-  const uint64_t crc_before = storage_->crc_verify_ns_total();
-  const uint64_t degraded_before = storage_->degraded_penalty_ns_total();
+  // The group's fault/retry virtual-time penalty (zero without injection),
+  // partitioned for the cost ledger by the gatherer.
+  storage::GatherPenalty penalty;
   GIDS_RETURN_IF_ERROR(gatherer_->GatherGroup(
       std::span<const storage::GatherSlice>(slices.data(), slices.size()),
       std::span<storage::FeatureGatherCounts>(slice_counts.data(),
-                                              slice_counts.size())));
-  const TimeNs group_retry_penalty = static_cast<TimeNs>(
-      storage_->retry_penalty_ns_total() - penalty_before);
-  const TimeNs group_crc_penalty =
-      static_cast<TimeNs>(storage_->crc_verify_ns_total() - crc_before);
-  const TimeNs group_degraded_penalty = static_cast<TimeNs>(
-      storage_->degraded_penalty_ns_total() - degraded_before);
+                                              slice_counts.size()),
+      &penalty));
   storage::FeatureGatherCounts group_counts;
   for (size_t i = 0; i < group; ++i) {
     group_batches[i].stats.gather = slice_counts[i];
@@ -596,25 +583,16 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
 
   // --- Timing. One kernel per group: the merged kernel with the
   // accumulator, a single iteration's kernel without it (group == 1).
-  sim::AggregationCounts ac;
-  ac.gpu_cache_hits = group_counts.gpu_cache_hits;
-  ac.cpu_buffer_hits = group_counts.cpu_buffer_hits;
-  ac.ssd_reads = group_counts.storage_reads;
-  ac.page_bytes = fs.page_bytes();
-  // Only serviced requests occupy queue slots: coalesced-away accesses
-  // piggyback on a sibling's in-flight read and never hit a doorbell.
-  ac.outstanding_accesses = std::min(group_counts.serviced_page_requests(),
-                                     storage_->queue_capacity());
+  // Queue slots bound the accesses in flight, and so does the
+  // accumulator's merge threshold when it is on.
+  uint64_t max_in_flight = storage_->queue_capacity();
   if (options_.use_accumulator) {
-    ac.outstanding_accesses = std::min(ac.outstanding_accesses,
-                                       accumulator_->CurrentThreshold());
+    max_in_flight =
+        std::min(max_in_flight, accumulator_->CurrentThreshold());
   }
-  sim::AggregationTiming timing = sim::ComputeAggregationTiming(*system_, ac);
-  // Retries, backoff, and latency spikes extend the kernel's storage
-  // phase (FAULTS.md); zero when fault injection is off. The journaled
-  // write path's appends/fsyncs/applies extend it the same way (the
-  // mutation step runs inside the group's preparation).
-  timing.total_ns += group_retry_penalty + group_mutation_ns;
+  const sim::AggregationTiming timing = storage::GroupAggregationTiming(
+      *system_, group_counts, fs.page_bytes(), max_in_flight, penalty,
+      group_mutation_ns);
 
   // With the accumulator, preparation of future iterations and training
   // of earlier ones overlap the storage waits; GPU compute (sampling +
@@ -624,14 +602,13 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
       options_.use_accumulator
           ? std::max(timing.total_ns, group_sampling + group_training)
           : group_sampling + timing.total_ns + group_training;
-  // Cost-ledger attribution (OBSERVABILITY.md): the kernel-phase times
-  // and fault penalties are group-scoped, so each iteration is billed an
-  // equal integer share; sampling/training stay per-iteration exact. The
-  // signed overlap credit absorbs both the path concurrency and the
-  // integer-division residue, making Sum() == e2e_ns exact.
+  // Cost-ledger attribution (OBSERVABILITY.md): each iteration is billed
+  // an equal floor share of the group-scoped costs; sampling/training stay
+  // per-iteration exact. The signed overlap credit absorbs both the path
+  // concurrency and the rounding residue, making Sum() == e2e_ns exact.
   const TimeNs g = static_cast<TimeNs>(group);
-  const TimeNs group_backoff_penalty =
-      group_retry_penalty - group_crc_penalty - group_degraded_penalty;
+  const obs::IterationLedger share =
+      storage::GroupLedgerShare(timing, penalty, group_mutation_ns, group);
   for (loaders::LoaderBatch& lb : group_batches) {
     loaders::IterationStats& st = lb.stats;
     st.aggregation_ns = timing.total_ns / g;
@@ -650,16 +627,9 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
                    : 0.0;
     }
     obs::IterationLedger& led = st.ledger;
+    led = share;
     led.sampling_ns = st.sampling_ns;
     led.training_ns = st.training_ns;
-    led.cache_hit_ns = timing.hbm_ns / g;
-    led.cpu_buffer_ns = timing.dram_ns / g;
-    led.storage_ns = timing.ssd_ns / g;
-    led.transfer_ns = timing.pcie_floor_ns / g;
-    led.crc_verify_ns = group_crc_penalty / g;
-    led.degraded_fill_ns = group_degraded_penalty / g;
-    led.retry_backoff_ns = group_backoff_penalty / g;
-    led.mutation_ns = group_mutation_ns / g;
     led.overlap_credit_ns = led.PositiveSum() - st.e2e_ns;
   }
 

@@ -129,18 +129,6 @@ struct GidsOptions : storage::FaultOptions,
   /// (power of two, >= 256 lines per shard, <= 64 shards).
   uint32_t cache_shards = 0;
 
-  /// Size-bucketed workspace pooling for the data-preparation hot path
-  /// (DESIGN.md §11): sampler scratch, gather staging, and slice vectors
-  /// draw pow2-class blocks from the process-wide WorkspacePool, and
-  /// consumed LoaderBatches handed back via Recycle() reseed the next
-  /// iteration's seed/block/feature storage, so a steady-state epoch
-  /// performs zero heap allocations (gids_ws_allocs_total stays flat).
-  /// Off is the escape hatch (`gids_cli --no-workspace-pool`): every
-  /// workspace acquire falls through to malloc/free, with bit-identical
-  /// results. The flag sets the process-wide pool mode, so all loaders in
-  /// one process should agree on it.
-  bool workspace_pool = true;
-
   /// --- Storage read path (FAULTS.md, INTEGRITY.md). The fault, integrity
   /// and replication knobs are the bases. All defaults keep the storage
   /// layers disabled: the read path is then the fault-free fast path.

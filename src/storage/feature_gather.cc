@@ -380,7 +380,7 @@ Status FeatureGatherer::GatherCountsOnly(
 
 Status FeatureGatherer::GatherGroup(
     std::span<const GatherSlice> slices,
-    std::span<FeatureGatherCounts> per_slice_counts) {
+    std::span<FeatureGatherCounts> per_slice_counts, GatherPenalty* penalty) {
   if (per_slice_counts.size() != slices.size()) {
     return Status::InvalidArgument("one counts entry per slice required");
   }
@@ -397,7 +397,20 @@ Status FeatureGatherer::GatherGroup(
       return Status::InvalidArgument("output buffer too small");
     }
   }
-  return GatherImpl(slices, per_slice_counts);
+  if (penalty == nullptr) return GatherImpl(slices, per_slice_counts);
+  const StorageArray& sa = *array_->storage();
+  const uint64_t retry_before = sa.retry_penalty_ns_total();
+  const uint64_t crc_before = sa.crc_verify_ns_total();
+  const uint64_t degraded_before = sa.degraded_penalty_ns_total();
+  Status s = GatherImpl(slices, per_slice_counts);
+  penalty->crc_verify =
+      static_cast<TimeNs>(sa.crc_verify_ns_total() - crc_before);
+  penalty->degraded_fill =
+      static_cast<TimeNs>(sa.degraded_penalty_ns_total() - degraded_before);
+  penalty->retry_backoff =
+      static_cast<TimeNs>(sa.retry_penalty_ns_total() - retry_before) -
+      penalty->crc_verify - penalty->degraded_fill;
+  return s;
 }
 
 StatusOr<std::vector<float>> FeatureGatherer::Gather(
@@ -405,6 +418,40 @@ StatusOr<std::vector<float>> FeatureGatherer::Gather(
   std::vector<float> out(nodes.size() * layout_->feature_dim());
   GIDS_RETURN_IF_ERROR(Gather(nodes, std::span<float>(out), counts));
   return out;
+}
+
+sim::AggregationTiming GroupAggregationTiming(
+    const sim::SystemModel& system, const FeatureGatherCounts& group,
+    uint32_t page_bytes, uint64_t max_in_flight, const GatherPenalty& penalty,
+    TimeNs mutation_ns) {
+  sim::AggregationCounts ac;
+  ac.gpu_cache_hits = group.gpu_cache_hits;
+  ac.cpu_buffer_hits = group.cpu_buffer_hits;
+  ac.ssd_reads = group.storage_reads;
+  ac.page_bytes = page_bytes;
+  ac.outstanding_accesses =
+      std::min(group.serviced_page_requests(), max_in_flight);
+  sim::AggregationTiming timing = sim::ComputeAggregationTiming(system, ac);
+  // Retries, backoff, spikes and verification extend the kernel's storage
+  // phase (FAULTS.md), as do the journal's appends/fsyncs/applies.
+  timing.total_ns += penalty.total() + mutation_ns;
+  return timing;
+}
+
+obs::IterationLedger GroupLedgerShare(const sim::AggregationTiming& timing,
+                                      const GatherPenalty& penalty,
+                                      TimeNs mutation_ns, size_t members) {
+  const TimeNs g = static_cast<TimeNs>(members);
+  obs::IterationLedger led;
+  led.cache_hit_ns = timing.hbm_ns / g;
+  led.cpu_buffer_ns = timing.dram_ns / g;
+  led.storage_ns = timing.ssd_ns / g;
+  led.transfer_ns = timing.pcie_floor_ns / g;
+  led.retry_backoff_ns = penalty.retry_backoff / g;
+  led.crc_verify_ns = penalty.crc_verify / g;
+  led.degraded_fill_ns = penalty.degraded_fill / g;
+  led.mutation_ns = mutation_ns / g;
+  return led;
 }
 
 }  // namespace gids::storage

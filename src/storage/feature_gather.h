@@ -9,9 +9,12 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/units.h"
 #include "common/workspace_pool.h"
 #include "graph/feature_store.h"
 #include "graph/types.h"
+#include "obs/ledger.h"
+#include "sim/aggregation_model.h"
 #include "storage/bam_array.h"
 
 namespace gids::storage {
@@ -88,6 +91,18 @@ struct FeatureGatherCounts {
     degraded_nodes += o.degraded_nodes;
     corrupt_nodes += o.corrupt_nodes;
   }
+};
+
+/// Virtual-time fault penalty one GatherGroup call cost the storage array,
+/// partitioned the way the cost ledger bills it (OBSERVABILITY.md): the
+/// array's retry penalty is crc_verify + degraded_fill + retry_backoff, so
+/// total() is that penalty and each part is counted exactly once. All
+/// zero without fault injection or verify-on-read.
+struct GatherPenalty {
+  TimeNs retry_backoff = 0;  // backoff, failed-attempt charges and spikes
+  TimeNs crc_verify = 0;     // checksum verification (INTEGRITY.md)
+  TimeNs degraded_fill = 0;  // non-CRC penalty of dead-lettered reads
+  TimeNs total() const { return retry_backoff + crc_verify + degraded_fill; }
 };
 
 /// One node list and its destination rows within a grouped gather. An
@@ -184,8 +199,13 @@ class FeatureGatherer {
   /// group's first requester, later members charge coalesced_requests to
   /// their own slice, and degraded/corrupt rows are counted in their own
   /// slice. Summing the entries yields the group totals.
+  ///
+  /// `penalty`, if given, receives the fault penalty the call added to
+  /// the storage array's books (read as deltas of its totals, so no other
+  /// reader may share the array during the call).
   Status GatherGroup(std::span<const GatherSlice> slices,
-                     std::span<FeatureGatherCounts> per_slice_counts);
+                     std::span<FeatureGatherCounts> per_slice_counts,
+                     GatherPenalty* penalty = nullptr);
 
  private:
   /// Shared two-phase implementation; empty `out` spans select counting
@@ -253,6 +273,26 @@ class FeatureGatherer {
   std::vector<BucketScratch> bucket_scratch_;
   std::vector<RowId> merged_rows_;  // count_union scratch (fault paths)
 };
+
+/// Duration of the aggregation kernel that serves one GatherGroup scope —
+/// an accumulator group or a serving batch (§3.2). The group's serviced
+/// page requests are the accesses in flight, capped at `max_in_flight`
+/// (coalesced-away requests piggyback on a sibling's read and take no
+/// queue slot). The fault penalty and `mutation_ns` (the journaled write
+/// path, which runs inside the group's preparation) extend total_ns.
+sim::AggregationTiming GroupAggregationTiming(
+    const sim::SystemModel& system, const FeatureGatherCounts& group,
+    uint32_t page_bytes, uint64_t max_in_flight, const GatherPenalty& penalty,
+    TimeNs mutation_ns = 0);
+
+/// One member's share of a group's kernel-scoped costs: the three service
+/// paths, the link floor, the penalty parts and `mutation_ns`, each
+/// divided by `members` and rounded down. The caller sets sampling,
+/// training and the signed overlap credit, which absorbs the rounding
+/// residue so the ledger still sums to the member's e2e.
+obs::IterationLedger GroupLedgerShare(const sim::AggregationTiming& timing,
+                                      const GatherPenalty& penalty,
+                                      TimeNs mutation_ns, size_t members);
 
 }  // namespace gids::storage
 

@@ -25,13 +25,35 @@ StorageArray::StorageArray(std::unique_ptr<BlockDevice> device,
       std::make_unique<std::atomic<uint64_t>[]>(ReplicaSet::kMaxReplicas);
 }
 
-void StorageArray::EnableReplication(const ReplicaOptions& options) {
-  GIDS_CHECK(options.replication_factor >= 1 &&
-             options.replication_factor <= n_ssd_);
-  if (options.enabled()) {
-    GIDS_CHECK(options.write_quorum >= 0 &&
-               options.write_quorum <= options.replication_factor);
+Status ValidateFaultOptions(const FaultOptions& faults, int n_ssd) {
+  for (int d : faults.offline_devices) {
+    if (d < 0 || d >= n_ssd) {
+      return Status::InvalidArgument(
+          "offline device " + std::to_string(d) + " out of range [0, " +
+          std::to_string(n_ssd) + ")");
+    }
   }
+  return Status::OK();
+}
+
+Status ValidateReplicaOptions(const ReplicaOptions& options, int n_ssd) {
+  if (options.replication_factor < 1 || options.replication_factor > n_ssd) {
+    return Status::InvalidArgument(
+        "replication factor " + std::to_string(options.replication_factor) +
+        " out of range [1, " + std::to_string(n_ssd) + "]");
+  }
+  if (options.enabled() && (options.write_quorum < 0 ||
+                            options.write_quorum > options.replication_factor)) {
+    return Status::InvalidArgument(
+        "write quorum " + std::to_string(options.write_quorum) +
+        " out of range [0, " + std::to_string(options.replication_factor) +
+        "]");
+  }
+  return Status::OK();
+}
+
+void StorageArray::EnableReplication(const ReplicaOptions& options) {
+  GIDS_CHECK_OK(ValidateReplicaOptions(options, n_ssd_));
   replicas_ = options.enabled()
                   ? std::make_unique<ReplicaSet>(n_ssd_, options)
                   : nullptr;
@@ -138,9 +160,7 @@ void StorageArray::ApplyRecordToPages(const MutationRecord& rec,
 
 void StorageArray::EnableFaultInjection(const FaultOptions& faults,
                                         const RetryPolicy& retry) {
-  for (int d : faults.offline_devices) {
-    GIDS_CHECK(d >= 0 && d < n_ssd_);
-  }
+  GIDS_CHECK_OK(ValidateFaultOptions(faults, n_ssd_));
   retry_ = retry;
   injector_ = faults.enabled()
                   ? std::make_unique<FaultInjector>(faults, retry)

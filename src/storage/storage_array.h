@@ -24,6 +24,14 @@
 
 namespace gids::storage {
 
+/// Range checks of the option structs StorageArray::EnableFaultInjection
+/// and EnableReplication consume, for an array of `n_ssd` devices: offline
+/// device ids in [0, n_ssd); replication_factor in [1, n_ssd] and, with
+/// replication on, write_quorum in [0, replication_factor]. The Enable*
+/// methods abort on a failure; front ends call these first to report it.
+Status ValidateFaultOptions(const FaultOptions& faults, int n_ssd);
+Status ValidateReplicaOptions(const ReplicaOptions& options, int n_ssd);
+
 /// An array of `n_ssd` identical NVMe SSDs behind one logical page space,
 /// pages striped round-robin (page p lives on device p mod n_ssd). BaM
 /// scales collective bandwidth by attaching several SSDs to one GPU
@@ -83,9 +91,9 @@ class StorageArray {
   const sim::SsdSpec& spec() const { return spec_; }
 
   /// Installs a deterministic fault injector + retry policy on the read
-  /// path (no injector when `faults` is disabled). Offline device ids must
-  /// lie in [0, n_ssd). Call before issuing reads (not thread-safe against
-  /// them).
+  /// path (no injector when `faults` is disabled). Aborts unless
+  /// ValidateFaultOptions passes. Call before issuing reads (not
+  /// thread-safe against them).
   void EnableFaultInjection(const FaultOptions& faults,
                             const RetryPolicy& retry);
   /// The installed injector, or nullptr when the array is fault-free.
@@ -104,9 +112,9 @@ class StorageArray {
   /// Installs the N-way replica set (FAULTS.md "Durability & failover"):
   /// replica r of page p lives on device (p + r) mod n_ssd, and the read
   /// path routes each attempt to the first healthy, fresh replica instead
-  /// of pinning the page to its primary. replication_factor must lie in
-  /// [1, n_ssd] (1 installs nothing) and, with replication on,
-  /// write_quorum in [0, replication_factor]. Call before issuing reads.
+  /// of pinning the page to its primary. A replication_factor of 1
+  /// installs nothing. Aborts unless ValidateReplicaOptions passes. Call
+  /// before issuing reads.
   void EnableReplication(const ReplicaOptions& options);
   const ReplicaSet* replica_set() const { return replicas_.get(); }
 
@@ -228,10 +236,10 @@ class StorageArray {
   }
   /// Total virtual-time penalty of faults across all reads: backoff plus
   /// failed-attempt service/timeout charges plus latency spikes plus
-  /// checksum-verification time. The loader snapshots deltas of this
-  /// ledger around each gather and folds them into the iteration's
-  /// aggregation time, so faults (and verify-on-read overhead) cost
-  /// virtual time end to end (FAULTS.md §2).
+  /// checksum-verification time. FeatureGatherer::GatherGroup reports
+  /// each call's delta of this ledger (GatherPenalty), and both drivers
+  /// fold it into the group's aggregation time, so faults (and
+  /// verify-on-read overhead) cost virtual time end to end (FAULTS.md §2).
   uint64_t retry_penalty_ns_total() const {
     return retry_penalty_ns_total_.load(std::memory_order_relaxed);
   }

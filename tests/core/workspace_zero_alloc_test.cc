@@ -54,10 +54,11 @@ RunCapture RunLoader(const RunConfig& cfg, int iterations) {
   // configuration must start from the same initial state.
   LoaderRig rig;
   std::unique_ptr<sampling::Sampler> sampler = MakeSampler(rig, cfg.sampler);
+  // The pool mode is process-wide state (gids_cli --no-workspace-pool).
+  WorkspacePool::Default().set_enabled(cfg.workspace_pool);
   GidsOptions opts;
   opts.host_threads = cfg.host_threads;
   opts.cache_shards = cfg.cache_shards;
-  opts.workspace_pool = cfg.workspace_pool;
   opts.coalesce_pages = cfg.coalesce_pages;
   GidsLoader loader(rig.dataset.get(), sampler.get(), rig.seeds.get(),
                     rig.system.get(), opts);

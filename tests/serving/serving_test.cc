@@ -12,6 +12,7 @@
 
 #include "common/check.h"
 #include "common/random.h"
+#include "core/gids_loader.h"
 #include "graph/generator.h"
 #include "obs/metric_registry.h"
 #include "obs/time_series.h"
@@ -21,6 +22,7 @@
 #include "serving/request_queue.h"
 #include "serving/slo_scheduler.h"
 #include "serving/traffic_gen.h"
+#include "tests/test_util.h"
 
 namespace gids::serving {
 namespace {
@@ -58,7 +60,7 @@ TEST(InferenceServerDeathTest, OfflineDeviceOutOfRangeRejected) {
   opts.n_ssd = 1;
   opts.offline_devices = {3};
   EXPECT_DEATH({ InferenceServer server(&*g, &sampler, opts); },
-               "d < n_ssd_");
+               "offline device 3 out of range");
 }
 
 // --- BatchFormer -----------------------------------------------------------
@@ -359,6 +361,41 @@ TEST(InferenceServerTest, PerRequestLedgersBalanceAgainstE2e) {
   TimeNs ledger_sum = 0;
   for (const auto& w : timeline.windows()) ledger_sum += w.ledger.Sum();
   EXPECT_EQ(ledger_sum, total_e2e);
+}
+
+// Both drivers bill a group's fault penalty by one rule: at fault_rate
+// 1.0 every read dead-letters, so the whole penalty is the dead-letter
+// (degraded_fill) part and none of it is billed again as retry_backoff.
+TEST(InferenceServerTest, DeadLetterPenaltyIsBilledOnceByBothDrivers) {
+  auto window_sums = [](const obs::TimeSeries& timeline) {
+    obs::IterationLedger sum;
+    for (const auto& w : timeline.windows()) sum.Add(w.ledger);
+    return sum;
+  };
+
+  ServingOptions o = SmallServer();
+  o.fault_rate = 1.0;
+  obs::TimeSeries serving_timeline(/*window_ns=*/100 * kNsPerUs);
+  o.latency_timeline = &serving_timeline;
+  ServerRig rig(o, SmallTraffic());
+  EXPECT_GT(rig.result.dead_letters, 0u);
+  const obs::IterationLedger served = window_sums(serving_timeline);
+  EXPECT_EQ(served.retry_backoff_ns, 0);
+  EXPECT_GT(served.degraded_fill_ns, 0);
+
+  gids::testing::LoaderRig lrig;
+  core::GidsOptions lo;
+  lo.fault_rate = o.fault_rate;
+  lo.fault_seed = o.fault_seed;
+  obs::TimeSeries loader_timeline(/*window_ns=*/100 * kNsPerUs);
+  lo.timeline = &loader_timeline;
+  core::GidsLoader loader(lrig.dataset.get(), lrig.sampler.get(),
+                          lrig.seeds.get(), lrig.system.get(), lo);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(loader.Next().ok());
+  EXPECT_GT(loader.storage_array().dead_letters_total(), 0u);
+  const obs::IterationLedger trained = window_sums(loader_timeline);
+  EXPECT_EQ(trained.retry_backoff_ns, 0);
+  EXPECT_GT(trained.degraded_fill_ns, 0);
 }
 
 TEST(InferenceServerTest, MetricsMatchResultBooks) {

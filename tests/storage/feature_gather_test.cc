@@ -329,7 +329,9 @@ TEST(GatherGroupTest, MatchesPerSliceGathersWhenCoalescingOff) {
         {in.first, std::span<float>(out_a)},
         {in.second, std::span<float>(out_b)}};
     std::vector<FeatureGatherCounts> per_slice(2);
-    ASSERT_TRUE(grouped->gatherer->GatherGroup(slices, per_slice).ok());
+    GatherPenalty penalty;
+    ASSERT_TRUE(
+        grouped->gatherer->GatherGroup(slices, per_slice, &penalty).ok());
 
     std::vector<FeatureGatherCounts> ref(2);
     auto ref_a = sequential->gatherer->Gather(in.first, &ref[0]);
@@ -364,6 +366,15 @@ TEST(GatherGroupTest, MatchesPerSliceGathersWhenCoalescingOff) {
       EXPECT_GT(per_slice[0].corrupt_nodes + per_slice[1].corrupt_nodes, 0u);
       EXPECT_GT(grouped->array->crc_verify_ns_total(), 0u);
       EXPECT_GT(grouped->array->degraded_penalty_ns_total(), 0u);
+      // The reported penalty partitions the array's books for this call.
+      EXPECT_EQ(penalty.crc_verify,
+                static_cast<TimeNs>(grouped->array->crc_verify_ns_total()));
+      EXPECT_EQ(penalty.degraded_fill,
+                static_cast<TimeNs>(
+                    grouped->array->degraded_penalty_ns_total()));
+      EXPECT_GT(penalty.retry_backoff, 0);
+      EXPECT_EQ(penalty.total(),
+                static_cast<TimeNs>(grouped->array->retry_penalty_ns_total()));
     }
   }
 }

@@ -35,6 +35,10 @@
 # lower-is-better, via the baseline's `directions` map, so cache
 # acceptance ratios, the replicated-outage availability floor, serving
 # goodput, and serving tail latency cannot silently regress).
+# The default preset also configures and builds the standalone perfbench/
+# project (the benchmark BENCHMARK.json runs) into build/perfbench: it
+# compiles ../src on its own, so an src/ API change can break it while
+# every ctest passes.
 # Run from the repository root:
 #
 #   tools/check.sh            # docs lint + all presets
@@ -73,6 +77,9 @@ for preset in "${presets[@]}"; do
     ctest --preset "$preset" -j "$jobs" -L serving
   fi
   if [ "$preset" = "default" ]; then
+    echo "=== [$preset] perfbench build"
+    cmake -S perfbench -B build/perfbench
+    cmake --build build/perfbench -j "$jobs"
     echo "=== [$preset] bench regression gate"
     benchlog=$(mktemp -d)
     build/bench/bench_fig03_request_rate > "$benchlog/fig03.log"

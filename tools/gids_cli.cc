@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/workspace_pool.h"
 #include "core/gids_loader.h"
 #include "core/trainer.h"
 #include "graph/dataset.h"
@@ -48,6 +49,7 @@
 #include "sim/system_model.h"
 #include "storage/cache_policy.h"
 #include "storage/journal.h"
+#include "storage/storage_array.h"
 
 namespace {
 
@@ -267,7 +269,9 @@ int CmdRun(const Flags& flags) {
     // Escape hatch for the size-bucketed workspace pool (DESIGN.md §11):
     // every scratch acquire falls back to plain malloc/free. Results are
     // bit-identical either way.
-    if (flags.GetBool("no-workspace-pool")) opts.workspace_pool = false;
+    if (flags.GetBool("no-workspace-pool")) {
+      WorkspacePool::Default().set_enabled(false);
+    }
     // Storage fault injection & retry policy (FAULTS.md).
     opts.fault_rate = flags.GetDouble("fault-rate", 0.0);
     opts.fault_seed =
@@ -323,6 +327,22 @@ int CmdRun(const Flags& flags) {
         static_cast<int>(flags.GetInt("crash-at-group", -1));
     opts.crash_seed =
         static_cast<uint64_t>(flags.GetInt("crash-seed", 0xc4a54));
+    // Out-of-range storage flags are usage errors here; past this point
+    // the storage array aborts on them.
+    for (const Status& s : {storage::ValidateFaultOptions(opts, cfg.n_ssd),
+                            storage::ValidateReplicaOptions(opts, cfg.n_ssd)}) {
+      if (!s.ok()) {
+        std::fprintf(stderr, "%s\n", s.ToString().c_str());
+        return 2;
+      }
+    }
+    if (opts.crash_at_group >= 0 && opts.updates_per_iter == 0 &&
+        opts.edge_ops_per_iter == 0) {
+      std::fprintf(stderr,
+                   "--crash-at-group needs a write stream "
+                   "(--updates-per-iter or --edge-ops-per-iter)\n");
+      return 2;
+    }
     if (want_timeline && opts.replication_factor > 1) {
       failover_exemplars = std::make_unique<obs::ExemplarReservoir>(
           report_top_k, obs::ExemplarReservoir::RankBy::kMostFailovers);
