@@ -51,6 +51,13 @@ class Rng {
     return result;
   }
 
+  /// Advances the state exactly as `n` calls to Next() would (like
+  /// std::discard), so a caller can skip draws it has no use for without
+  /// changing any later one.
+  void Discard(uint64_t n) {
+    for (; n > 0; --n) Next();
+  }
+
   // UniformRandomBitGenerator interface (usable with <random> adapters).
   static constexpr uint64_t min() { return 0; }
   static constexpr uint64_t max() { return ~0ull; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -345,7 +346,7 @@ void GidsLoader::RegisterWindow(size_t count) {
   }
 }
 
-StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
+StatusOr<GidsLoader::PreparedGroup> GidsLoader::PrepareGroupBatches() {
   const graph::FeatureStore& fs = dataset_->features;
   const double pages_per_node = fs.PagesPerNode();
 
@@ -689,24 +690,24 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
         static_cast<double>(accumulator_->CurrentThreshold()));
     window_depth_gauge_->Set(static_cast<double>(resolved_window_depth_));
   }
+  std::vector<TracedInstant> instants;
   if (observer_ != nullptr && observer_->trace() != nullptr) {
-    std::lock_guard<std::mutex> obs_lock(obs_mu_);
-    // Groups are prepared in consumption order (preparation is
-    // single-flight), so the observer's clock sits at the virtual-time
-    // start of this group's first unconsumed iteration.
-    observer_->Instant(
-        "accumulator_group_flush",
-        {{"merged_iterations", static_cast<double>(group)},
-         {"page_requests",
-          static_cast<double>(group_counts.total_page_requests())},
-         {"threshold",
-          static_cast<double>(accumulator_->CurrentThreshold())}});
+    // Values are captured now, at preparation; Next() emits them when it
+    // hands out the group's first batch.
+    instants.push_back(
+        {"accumulator_group_flush",
+         {{"merged_iterations", static_cast<double>(group)},
+          {"page_requests",
+           static_cast<double>(group_counts.total_page_requests())},
+          {"threshold",
+           static_cast<double>(accumulator_->CurrentThreshold())}}});
     uint64_t evictions = cache_->stats().evictions;
     if (evictions > traced_evictions_) {
-      observer_->Instant(
-          "cache_evictions",
-          {{"count", static_cast<double>(evictions - traced_evictions_)},
-           {"pinned_lines", static_cast<double>(cache_->pinned_lines())}});
+      instants.push_back(
+          {"cache_evictions",
+           {{"count", static_cast<double>(evictions - traced_evictions_)},
+            {"pinned_lines",
+             static_cast<double>(cache_->pinned_lines())}}});
     }
     traced_evictions_ = evictions;
   }
@@ -719,7 +720,7 @@ StatusOr<std::vector<loaders::LoaderBatch>> GidsLoader::PrepareGroupBatches() {
   }
   ++groups_prepared_;
 
-  return group_batches;
+  return PreparedGroup{std::move(group_batches), std::move(instants)};
 }
 
 void GidsLoader::MaybeLaunchPrefetch() {
@@ -760,6 +761,7 @@ void GidsLoader::PrefetchTask() {
 
 StatusOr<loaders::LoaderBatch> GidsLoader::Next() {
   if (ready_.empty()) {
+    std::optional<PreparedGroup> group;
     {
       std::unique_lock<std::mutex> lock(stage_mu_);
       if (prefetch_running_ || !staged_.empty()) {
@@ -768,9 +770,7 @@ StatusOr<loaders::LoaderBatch> GidsLoader::Next() {
         });
       }
       if (!staged_.empty()) {
-        for (loaders::LoaderBatch& lb : staged_.front()) {
-          ready_.push_back(std::move(lb));
-        }
+        group = std::move(staged_.front());
         staged_.pop_front();
       } else if (!prefetch_status_.ok()) {
         Status s = prefetch_status_;
@@ -778,14 +778,21 @@ StatusOr<loaders::LoaderBatch> GidsLoader::Next() {
         return s;
       }
     }
-    if (ready_.empty()) {
+    if (!group.has_value()) {
       // No prefetch in flight (checked above), so inline preparation is
       // exclusive.
-      auto group = PrepareGroupBatches();
-      GIDS_RETURN_IF_ERROR(group.status());
-      for (loaders::LoaderBatch& lb : *group) {
-        ready_.push_back(std::move(lb));
-      }
+      auto prepared = PrepareGroupBatches();
+      GIDS_RETURN_IF_ERROR(prepared.status());
+      group = std::move(*prepared);
+    }
+    for (loaders::LoaderBatch& lb : group->batches) {
+      ready_.push_back(std::move(lb));
+    }
+    // Only this thread touches the observer, and its clock sits at the
+    // virtual-time start of the group's first iteration — the same
+    // instant however far the prefetch task has run ahead.
+    for (TracedInstant& instant : group->instants) {
+      observer_->Instant(instant.name, std::move(instant.args));
     }
   }
   MaybeLaunchPrefetch();
@@ -793,10 +800,7 @@ StatusOr<loaders::LoaderBatch> GidsLoader::Next() {
   ready_.pop_front();
   elapsed_ns_ += out.stats.e2e_ns;
   ++iterations_;
-  if (observer_ != nullptr) {
-    std::lock_guard<std::mutex> obs_lock(obs_mu_);
-    observer_->RecordIteration(out.stats);
-  }
+  if (observer_ != nullptr) observer_->RecordIteration(out.stats);
   return out;
 }
 

@@ -256,10 +256,21 @@ class GidsLoader : public loaders::DataLoader {
   void EnsureSampledAhead(size_t count);
   /// Registers every pending batch in [0, count) with the window buffer.
   void RegisterWindow(size_t count);
+  /// A trace instant whose values were captured at group preparation.
+  struct TracedInstant {
+    const char* name;
+    obs::TraceArgs args;
+  };
+  /// One prepared accumulator group: its batches and the trace instants
+  /// Next() emits when it hands out the group's first batch.
+  struct PreparedGroup {
+    std::vector<loaders::LoaderBatch> batches;
+    std::vector<TracedInstant> instants;
+  };
   /// Prepares the next accumulator group. Never runs concurrently with
   /// itself: Next() runs it inline only while no prefetch is in flight,
   /// and the prefetch task is single-flight.
-  StatusOr<std::vector<loaders::LoaderBatch>> PrepareGroupBatches();
+  StatusOr<PreparedGroup> PrepareGroupBatches();
   /// Launches the prefetch task if prefetching is on, none is running,
   /// and the staging buffer has room.
   void MaybeLaunchPrefetch();
@@ -335,14 +346,11 @@ class GidsLoader : public loaders::DataLoader {
   // Next() drains them. stage_mu_ guards everything in this block.
   std::mutex stage_mu_;
   std::condition_variable stage_cv_;
-  std::deque<std::vector<loaders::LoaderBatch>> staged_;
+  std::deque<PreparedGroup> staged_;
   Status prefetch_status_ = Status::OK();
   bool prefetch_running_ = false;
   bool stopping_ = false;
 
-  // Observability (all unset unless options_.metrics / options_.trace).
-  // LoaderObserver is not thread-safe; obs_mu_ serializes the consumer
-  // thread's RecordIteration against the prefetch task's Instant calls.
   // Background-scrubber accounting (INTEGRITY.md). Atomic because the
   // prefetch task scrubs while the consumer thread may snapshot metrics.
   std::atomic<uint64_t> scrub_pages_total_{0};
@@ -354,7 +362,9 @@ class GidsLoader : public loaders::DataLoader {
   std::atomic<uint64_t> gather_coalesced_total_{0};
   std::atomic<uint64_t> gather_requests_total_{0};
 
-  std::mutex obs_mu_;
+  // Observability (all unset unless options_.metrics / options_.trace).
+  // LoaderObserver is not thread-safe; only Next() calls it, on the
+  // consumer thread.
   std::unique_ptr<loaders::LoaderObserver> observer_;
   // Pull-metric lifetimes (OBSERVABILITY.md): destroying these freezes the
   // thread-pool / workspace-pool gauges to their final values even when

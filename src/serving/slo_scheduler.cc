@@ -55,16 +55,15 @@ void SloScheduler::RecordService(TimeNs completion_ns, TimeNs service_ns) {
   s.e2e_ns = service_ns;
   s.ledger.storage_ns = service_ns;  // exactly balanced: Sum() == e2e_ns
   service_.Record(s);
+  service_hist_.Add(static_cast<uint64_t>(service_ns));
 }
 
 TimeNs SloScheduler::EstimateP50() const {
-  if (service_.total_iterations() == 0) return 0;
-  return static_cast<TimeNs>(service_.MergedHistogram().Percentile(0.50));
+  return static_cast<TimeNs>(service_hist_.Percentile(0.50));
 }
 
 TimeNs SloScheduler::EstimateP99() const {
-  if (service_.total_iterations() == 0) return 0;
-  return static_cast<TimeNs>(service_.MergedHistogram().Percentile(0.99));
+  return static_cast<TimeNs>(service_hist_.Percentile(0.99));
 }
 
 }  // namespace gids::serving

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/units.h"
 #include "obs/ledger.h"
 #include "obs/time_series.h"
@@ -24,9 +25,11 @@ namespace gids::serving {
 /// total order, so scheduling is deterministic.
 ///
 /// The scheduler owns the service-time timeline: the server records one
-/// sample per executed batch (`RecordService`), and the rolling p50/p99
-/// come from the merged histogram — the exact rolling-quantile machinery
-/// the offline timeline report uses.
+/// sample per executed batch (`RecordService`). The rolling p50/p99 come
+/// from a running histogram that every sample is also added to, so an
+/// estimate costs one bucket scan instead of a merge of every window; its
+/// buckets, count, min and max equal the timeline's merged histogram, so
+/// the estimates are the ones the offline timeline report would give.
 class SloScheduler {
  public:
   explicit SloScheduler(TimeNs service_window_ns);
@@ -60,6 +63,7 @@ class SloScheduler {
   std::vector<FormedBatch> backlog_;
   size_t max_backlog_ = 0;
   obs::TimeSeries service_;
+  Histogram service_hist_;  // every recorded sample, for the estimates
 };
 
 }  // namespace gids::serving

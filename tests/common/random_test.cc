@@ -27,6 +27,16 @@ TEST(RngTest, DifferentSeedsDiverge) {
   EXPECT_LT(same, 2);
 }
 
+TEST(RngTest, DiscardEqualsRepeatedNext) {
+  for (uint64_t n : {0ull, 1ull, 4ull, 1000ull}) {
+    Rng a(77);
+    Rng b(77);
+    a.Discard(n);
+    for (uint64_t i = 0; i < n; ++i) b.Next();
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(a.Next(), b.Next()) << "n=" << n;
+  }
+}
+
 TEST(RngTest, UniformIntRespectsBound) {
   Rng rng(7);
   for (uint64_t bound : {1ull, 2ull, 3ull, 17ull, 1000ull, 1ull << 40}) {

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/gids_loader.h"
+#include "obs/trace_recorder.h"
 #include "tests/test_util.h"
 
 namespace gids::core {
@@ -30,13 +32,14 @@ struct RunCapture {
 };
 
 RunCapture RunLoader(bool bam, uint32_t host_threads, uint32_t prefetch_depth,
-                     int num_iterations) {
+                     int num_iterations, obs::TraceRecorder* trace = nullptr) {
   // A fresh rig per run: sampler and seed iterator are stateful, and every
   // configuration must start from the same initial state.
   LoaderRig rig;
   GidsOptions opts = bam ? GidsOptions::Bam() : GidsOptions{};
   opts.host_threads = host_threads;
   opts.prefetch_depth = prefetch_depth;
+  opts.trace = trace;
   GidsLoader loader(rig.dataset.get(), rig.sampler.get(), rig.seeds.get(),
                     rig.system.get(), opts);
   RunCapture cap;
@@ -152,6 +155,42 @@ TEST(HostParallelDeterminismTest, PrefetchBamMatchesInline) {
   RunCapture prefetched = RunLoader(/*bam=*/true, /*host_threads=*/8,
                                     /*prefetch_depth=*/2, kIterations);
   ExpectPerIterationEqual(inline_prep, prefetched);
+}
+
+size_t CountOccurrences(const std::string& text, const std::string& word) {
+  size_t n = 0;
+  for (size_t at = text.find(word); at != std::string::npos;
+       at = text.find(word, at + word.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(HostParallelDeterminismTest, PrefetchTraceHasOneFlushPerConsumedGroup) {
+  // A group's trace instants are emitted when its first batch is handed
+  // out, not when the prefetch task prepares it, so a group prepared
+  // ahead but never consumed leaves no instant and the trace is the
+  // inline run's, byte for byte, however far the prefetch ran ahead.
+  obs::TraceRecorder inline_trace;
+  RunCapture inline_prep = RunLoader(/*bam=*/false, /*host_threads=*/1,
+                                     /*prefetch_depth=*/0, kIterations,
+                                     &inline_trace);
+  size_t groups = 0;
+  for (size_t i = 0; i < inline_prep.iterations.size();
+       i += inline_prep.iterations[i].stats.merged_group) {
+    ++groups;
+  }
+  const std::string expected = inline_trace.ToJson();
+  EXPECT_EQ(CountOccurrences(expected, "accumulator_group_flush"), groups);
+  for (int run = 0; run < 5; ++run) {
+    obs::TraceRecorder trace;
+    RunLoader(/*bam=*/false, /*host_threads=*/2, /*prefetch_depth=*/2,
+              kIterations, &trace);
+    const std::string json = trace.ToJson();
+    EXPECT_EQ(CountOccurrences(json, "accumulator_group_flush"), groups)
+        << "run " << run;
+    EXPECT_EQ(json, expected) << "run " << run;
+  }
 }
 
 TEST(HostParallelDeterminismTest, PoolOnlyCreatedWhenRequested) {

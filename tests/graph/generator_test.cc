@@ -3,10 +3,81 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
+
+#include "graph/dataset.h"
 
 namespace gids::graph {
 namespace {
+
+// FNV-1a over each value's eight little-endian bytes, chained from `h`.
+template <typename T>
+uint64_t Fnv1a(const std::vector<T>& values,
+               uint64_t h = 0xcbf29ce484222325ull) {
+  for (T v : values) {
+    const uint64_t x = static_cast<uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+uint64_t Fingerprint(const CscGraph& g) {
+  return Fnv1a(g.indices(), Fnv1a(g.indptr()));
+}
+
+// Golden streams: the CSC fingerprint of a generated graph and the
+// caller's next draw afterwards. The constants were recorded with the
+// generator that evaluates every level of every candidate; early
+// rejection must reproduce them exactly.
+void ExpectGoldenRmat(NodeId n, EdgeIdx m, const RmatParams& params,
+                      uint64_t seed, uint64_t graph_fp, uint64_t next_draw) {
+  Rng rng(seed);
+  auto g = GenerateRmat(n, m, params, rng);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->num_edges(), m);
+  EXPECT_EQ(Fingerprint(*g), graph_fp);
+  EXPECT_EQ(rng.Next(), next_draw);
+}
+
+constexpr RmatParams kIgbParams{.a = 0.35, .b = 0.287, .c = 0.287, .d = 0.076};
+
+TEST(RmatGoldenTest, PowerOfTwoNeverRejects) {
+  ExpectGoldenRmat(1024, 10000, RmatParams{}, 11,
+                   2007862762609513708ull, 11464051027312422683ull);
+}
+
+TEST(RmatGoldenTest, JustAbovePowerOfTwoWithIgbParams) {
+  // 4096 + 29 nodes recurse over an 8192-wide matrix: a candidate whose
+  // top row or column bit is set stays in range only if almost all of its
+  // lower bits are zero, so more than half of all candidates are rejected.
+  ExpectGoldenRmat(4096 + 29, 20000, kIgbParams, 12,
+                   3992679196302317830ull, 15203559925819877011ull);
+}
+
+TEST(RmatGoldenTest, NoNoise) {
+  RmatParams p;
+  p.noise = 0;
+  ExpectGoldenRmat(1000, 10000, p, 13, 17075362424874133728ull,
+                   11967402886412615923ull);
+}
+
+TEST(RmatGoldenTest, SingleNode) {
+  ExpectGoldenRmat(1, 10, RmatParams{}, 14,
+                   8139243878041701487ull, 13314999602426395285ull);
+}
+
+TEST(RmatGoldenTest, DatasetIncludingTrainIds) {
+  // train_ids come from a fork of the RNG after R-MAT, so they pin the
+  // generator's whole draw count, not just the edges it kept.
+  auto ds = BuildDataset(DatasetSpec::IgbSmall(), 0.02, 3);
+  ASSERT_TRUE(ds.ok());
+  EXPECT_EQ(Fingerprint(ds->graph), 7404091340426085834ull);
+  EXPECT_EQ(Fnv1a(ds->train_ids), 6247030009928248032ull);
+}
 
 TEST(RmatTest, ProducesRequestedSize) {
   Rng rng(1);

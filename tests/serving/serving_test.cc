@@ -170,6 +170,21 @@ TEST(SloSchedulerTest, OutOfOrderServiceRecordsFold) {
   EXPECT_GE(s.EstimateP99(), s.EstimateP50());
 }
 
+TEST(SloSchedulerTest, EstimatesMatchMergedTimeline) {
+  // The estimates read a running histogram; they must equal the quantiles
+  // of the timeline's merged windows after in- and out-of-order records.
+  SloScheduler s(1000);
+  Rng rng(21);
+  for (int i = 0; i < 500; ++i) {
+    const TimeNs completion = static_cast<TimeNs>(rng.UniformInt(200000));
+    const TimeNs service = 100 + static_cast<TimeNs>(rng.UniformInt(50000));
+    s.RecordService(completion, service);
+    const Histogram merged = s.service_timeline().MergedHistogram();
+    ASSERT_EQ(s.EstimateP50(), static_cast<TimeNs>(merged.Percentile(0.50)));
+    ASSERT_EQ(s.EstimateP99(), static_cast<TimeNs>(merged.Percentile(0.99)));
+  }
+}
+
 // --- TrafficGenerator ------------------------------------------------------
 
 TrafficOptions SmallTraffic() {

@@ -22,6 +22,8 @@
 // attribution report (windowed timeline + top-K slowest iterations with
 // their dominant cost-ledger component; see OBSERVABILITY.md).
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +57,18 @@ namespace {
 
 using namespace gids;
 
+// Parses all of `text` as a base-10 long; false on an empty string,
+// trailing characters or overflow.
+bool ParseLong(const std::string& text, long* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  long value = std::strtol(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
 // --- Minimal flag parsing: --key value, --key=value, and boolean --key.
 class Flags {
  public:
@@ -86,9 +100,29 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
+  // Integer flags must be wholly numeric: a bad value is a usage error
+  // (exit 2), never a silent 0 or a wrapped negative count.
   long GetInt(const std::string& key, long fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atol(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    long value = 0;
+    if (!ParseLong(it->second, &value)) {
+      std::fprintf(stderr, "--%s expects an integer, got '%s'\n",
+                   key.c_str(), it->second.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+  // A count: an integer flag that must be at least `min_value`.
+  long GetCount(const std::string& key, long fallback,
+                long min_value = 0) const {
+    long value = GetInt(key, fallback);
+    if (value < min_value) {
+      std::fprintf(stderr, "--%s expects a count >= %ld, got %ld\n",
+                   key.c_str(), min_value, value);
+      std::exit(2);
+    }
+    return value;
   }
   bool GetBool(const std::string& key) const {
     return values_.count(key) > 0;
@@ -120,13 +154,24 @@ StatusOr<graph::Dataset> ResolveDataset(const Flags& flags) {
                              static_cast<uint64_t>(flags.GetInt("seed", 42)));
 }
 
-std::vector<int> ParseFanout(const std::string& csv) {
+// Parses the comma-separated integer list of flag `--key`; any entry that
+// is not an integer >= `min_value` is a usage error (exit 2).
+std::vector<int> ParseIntList(const std::string& key, const std::string& csv,
+                              int min_value) {
   std::vector<int> out;
   size_t pos = 0;
   while (pos < csv.size()) {
     size_t comma = csv.find(',', pos);
     if (comma == std::string::npos) comma = csv.size();
-    out.push_back(std::atoi(csv.substr(pos, comma - pos).c_str()));
+    const std::string entry = csv.substr(pos, comma - pos);
+    long value = 0;
+    if (!ParseLong(entry, &value) || value < min_value || value > INT_MAX) {
+      std::fprintf(stderr,
+                   "--%s expects comma-separated integers >= %d, got '%s'\n",
+                   key.c_str(), min_value, csv.c_str());
+      std::exit(2);
+    }
+    out.push_back(static_cast<int>(value));
     pos = comma + 1;
   }
   return out;
@@ -192,16 +237,18 @@ int CmdRun(const Flags& flags) {
   sim::SsdSpec ssd = ssd_name == "samsung" ? sim::SsdSpec::Samsung980Pro()
                                            : sim::SsdSpec::IntelOptane();
   sim::SystemConfig cfg = sim::SystemConfig::Paper(
-      ssd, static_cast<int>(flags.GetInt("n-ssd", 1)));
+      ssd, static_cast<int>(flags.GetCount("n-ssd", 1)));
   cfg.memory_scale = flags.GetDouble("memory-scale", dataset.scale);
   sim::SystemModel system(cfg);
 
   sampling::NeighborSampler sampler(
       &dataset.graph,
-      {.fanouts = ParseFanout(flags.Get("fanout", "10,5,5"))},
+      {.fanouts = ParseIntList("fanout", flags.Get("fanout", "10,5,5"),
+                               /*min_value=*/1)},
       static_cast<uint64_t>(flags.GetInt("seed", 42)) ^ 0x5a3e);
   sampling::SeedIterator seeds(
-      dataset.train_ids, static_cast<uint32_t>(flags.GetInt("batch", 16)),
+      dataset.train_ids,
+      static_cast<uint32_t>(flags.GetCount("batch", 16, /*min_value=*/1)),
       static_cast<uint64_t>(flags.GetInt("seed", 42)) ^ 0x5eed);
 
   // Observability sinks (see OBSERVABILITY.md). Created whenever an
@@ -221,7 +268,7 @@ int CmdRun(const Flags& flags) {
   const bool want_timeline =
       flags.Has("timeline-json") || flags.Has("timeline-csv");
   const size_t report_top_k = static_cast<size_t>(
-      std::max<long>(1, flags.GetInt("report-top-k", 5)));
+      std::max<long>(1, flags.GetCount("report-top-k", 5)));
   std::unique_ptr<obs::TimeSeries> timeline;
   std::unique_ptr<obs::ExemplarReservoir> exemplars;
   std::unique_ptr<obs::ExemplarReservoir> failover_exemplars;
@@ -260,11 +307,11 @@ int CmdRun(const Flags& flags) {
     if (flags.GetBool("no-cpu-buffer")) opts.use_cpu_buffer = false;
     opts.cpu_buffer_fraction = flags.GetDouble("cpu-buffer-frac", 0.10);
     opts.window_depth =
-        static_cast<int>(flags.GetInt("window-depth", 8));
+        static_cast<int>(flags.GetCount("window-depth", 8));
     opts.host_threads =
-        static_cast<uint32_t>(flags.GetInt("host-threads", 1));
+        static_cast<uint32_t>(flags.GetCount("host-threads", 1));
     opts.prefetch_depth =
-        static_cast<uint32_t>(flags.GetInt("prefetch-depth", 0));
+        static_cast<uint32_t>(flags.GetCount("prefetch-depth", 0));
     opts.coalesce_pages = flags.GetBool("coalesce-pages");
     // Escape hatch for the size-bucketed workspace pool (DESIGN.md §11):
     // every scratch acquire falls back to plain malloc/free. Results are
@@ -281,7 +328,8 @@ int CmdRun(const Flags& flags) {
         UsToNs(flags.GetDouble("latency-spike-us", 500.0));
     opts.stuck_queue_rate = flags.GetDouble("stuck-queue-rate", 0.0);
     if (flags.Has("offline-devices")) {
-      opts.offline_devices = ParseFanout(flags.Get("offline-devices", ""));
+      opts.offline_devices = ParseIntList(
+          "offline-devices", flags.Get("offline-devices", ""), /*min_value=*/0);
     }
     // --offline-device D is another spelling that adds D to the set
     // (-1, the default, adds nothing).
@@ -290,7 +338,7 @@ int CmdRun(const Flags& flags) {
     if (offline_device >= 0) opts.offline_devices.push_back(offline_device);
     opts.offline_at_ns = UsToNs(flags.GetDouble("offline-at-us", 0.0));
     opts.retry.max_retries =
-        static_cast<uint32_t>(flags.GetInt("io-max-retries", 4));
+        static_cast<uint32_t>(flags.GetCount("io-max-retries", 4));
     opts.retry.timeout_ns = UsToNs(flags.GetDouble("io-timeout-us", 1000.0));
     opts.retry.backoff_initial_ns =
         UsToNs(flags.GetDouble("io-backoff-us", 20.0));
@@ -302,15 +350,15 @@ int CmdRun(const Flags& flags) {
     opts.verify_cache_fill = flags.GetBool("verify-cache-fill");
     opts.verify_cache_hit = flags.GetBool("verify-cache-hit");
     opts.scrub_pages_per_iter =
-        static_cast<uint32_t>(flags.GetInt("scrub-pages-per-iter", 0));
+        static_cast<uint32_t>(flags.GetCount("scrub-pages-per-iter", 0));
     // Durability & replication (FAULTS.md "Durability & failover").
     opts.replication_factor =
-        static_cast<int>(flags.GetInt("replication-factor", 1));
-    opts.write_quorum = static_cast<int>(flags.GetInt("write-quorum", 0));
+        static_cast<int>(flags.GetCount("replication-factor", 1));
+    opts.write_quorum = static_cast<int>(flags.GetCount("write-quorum", 0));
     opts.updates_per_iter =
-        static_cast<uint32_t>(flags.GetInt("updates-per-iter", 0));
+        static_cast<uint32_t>(flags.GetCount("updates-per-iter", 0));
     opts.edge_ops_per_iter =
-        static_cast<uint32_t>(flags.GetInt("edge-ops-per-iter", 0));
+        static_cast<uint32_t>(flags.GetCount("edge-ops-per-iter", 0));
     opts.mutation_seed = static_cast<uint64_t>(
         flags.GetInt("mutation-seed", 0x6d7574a73ll));
     const std::string durability = flags.Get("durability", "quorum");
@@ -322,7 +370,7 @@ int CmdRun(const Flags& flags) {
       return 2;
     }
     opts.journal_apply_budget =
-        static_cast<uint64_t>(flags.GetInt("journal-apply-budget", 0));
+        static_cast<uint64_t>(flags.GetCount("journal-apply-budget", 0));
     opts.crash_at_group =
         static_cast<int>(flags.GetInt("crash-at-group", -1));
     opts.crash_seed =
@@ -365,11 +413,12 @@ int CmdRun(const Flags& flags) {
                   storage::CachePolicyKindName(policy_kind));
     }
     opts.presample_iterations =
-        static_cast<uint32_t>(flags.GetInt("presample-iters", 32));
+        static_cast<uint32_t>(flags.GetCount("presample-iters", 32));
     opts.presample_seed =
         static_cast<uint64_t>(flags.GetInt("presample-seed", 0x9e5a));
     opts.presample_rerank_groups =
-        static_cast<uint32_t>(flags.GetInt("presample-rerank-groups", 0));
+        static_cast<uint32_t>(
+            flags.GetCount("presample-rerank-groups", 0));
     if (opts.use_cpu_buffer &&
         opts.cache_policy != storage::CachePolicyKind::kPresample) {
       // The presample policy ranks the buffer itself; every other kind
@@ -393,9 +442,9 @@ int CmdRun(const Flags& flags) {
   core::Trainer trainer(
       &dataset,
       {.warmup_iterations =
-           static_cast<uint64_t>(flags.GetInt("warmup", 100)),
+           static_cast<uint64_t>(flags.GetCount("warmup", 100)),
        .measure_iterations =
-           static_cast<uint64_t>(flags.GetInt("measure", 30))});
+           static_cast<uint64_t>(flags.GetCount("measure", 30))});
   auto result = trainer.Run(*loader);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -408,7 +457,8 @@ int CmdRun(const Flags& flags) {
               std::string(loader->name()).c_str(), ssd.name.c_str(),
               cfg.n_ssd);
   std::printf("iterations:   %llu measured (after %ld warm-up)\n",
-              static_cast<unsigned long long>(n), flags.GetInt("warmup", 100));
+              static_cast<unsigned long long>(n),
+              flags.GetCount("warmup", 100));
   std::printf("e2e:          %.3f virtual ms/iter\n",
               result->mean_iteration_ms());
   std::printf("  sampling    %.3f ms/iter\n", NsToMs(m.sampling_ns) / n);
@@ -634,7 +684,7 @@ int CmdReport(const Flags& flags) {
   std::fclose(f);
   auto report = obs::RenderTimelineReport(
       doc, static_cast<size_t>(
-               std::max<long>(1, flags.GetInt("report-top-k", 5))));
+               std::max<long>(1, flags.GetCount("report-top-k", 5))));
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
